@@ -90,7 +90,7 @@ impl Json {
 
     /// Renders the value as compact JSON text (no whitespace). Object
     /// field order is preserved, so equal values render identically —
-    /// which is what makes the rendering usable as a content-address.
+    /// which is what makes the rendering usable as a fingerprint.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -341,8 +341,10 @@ impl Parser<'_> {
     }
 }
 
-/// FNV-1a 64-bit hash of a byte string — the service's content address
-/// for plan/input pairs. Deterministic across runs and platforms.
+/// FNV-1a 64-bit hash of a byte string — a stable fingerprint of a
+/// rendered value (the soak harness compares answers by it).
+/// Deterministic across runs and platforms. Not collision-resistant, so
+/// the service's caches do not key on it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -19,9 +19,10 @@
 //! * **Backpressure** — a bounded worker pool behind a bounded admission
 //!   queue; overflow is shed immediately with a typed `overloaded` error
 //!   and a `retry_after_ms` hint.
-//! * **Caching** — answers are content-addressed by `(kind, plan, input)`
-//!   with single-flight deduplication: N identical concurrent requests
-//!   perform exactly one analysis.
+//! * **Caching** — answers are keyed exactly by `(kind, plan source,
+//!   input)`, looked up before any plan is built, with single-flight
+//!   deduplication: N identical concurrent requests perform exactly one
+//!   analysis, and a repeat costs one hash-map lookup.
 //! * **Degradation** — a measured run that exceeds its deadline falls
 //!   back to the static-analysis ledger, flagged `degraded: true`.
 //!
@@ -39,8 +40,8 @@ pub mod oracle;
 pub mod server;
 pub mod wire;
 
-pub use cache::{approx_answer_bytes, CacheSnapshot, OracleCache};
-pub use oracle::{Oracle, OracleConfig};
+pub use cache::{approx_answer_bytes, CacheKey, CacheSnapshot, OracleCache};
+pub use oracle::{CompiledCacheStats, Oracle, OracleConfig};
 pub use server::{Server, ServerConfig};
 pub use wire::{
     plan_from_json, plan_to_json, Answer, ErrorCode, PlanSource, QueryKind, Request, Response,

@@ -1,18 +1,23 @@
-//! The cost oracle: resolves, analyzes and executes one request.
+//! The cost oracle: looks up, resolves, analyzes and executes one request.
 //!
 //! The oracle is the pure request→response core the server's worker pool
 //! calls. It owns the single-flight cache and the tenant budgets, and
-//! implements the degradation state machine:
+//! implements the degradation state machine. The cache is consulted
+//! first, under an exact key built from the request alone, so a hit
+//! builds, validates and predicts nothing:
 //!
 //! ```text
-//! resolve plan ──bad──▶ bad_request
+//! cache lookup (single-flight, exact key)
+//!   │hit ─▶ measured kind? ──yes──▶ charge stored prediction ──over──▶ budget_exhausted
+//!   │        │no                      │ok
+//!   │        └──────────────────────▶ cached answer
+//!   │lead (guard: any exit but fulfil abandons the slot)
+//! resolve plan + validate ──bad──▶ bad_request
 //!   │ok
 //! predict ledger (static, fresh token)
 //!   │
 //! measured kind? ──yes──▶ charge tenant budget ──over──▶ budget_exhausted
 //!   │no                       │ok
-//! cache lookup (single-flight)│
-//!   │lead                     │
 //! compute under deadline token│execute under deadline token
 //!   │                         ├─ ok ───────▶ answer (cached for next time)
 //!   │                         └─ deadline ─▶ static ledger, degraded: true
@@ -21,6 +26,7 @@
 //! Errors are never cached; degraded answers are never cached (a later,
 //! less-loaded request should get the chance to produce the full answer).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,31 +37,41 @@ use parbounds_ir::{
     compile_plan, execute_compiled_cancellable, execute_plan_cancellable, CompileOutcome,
     CompiledPlan, PhasePlan,
 };
-use parbounds_models::{CancelToken, ModelError, Word};
+use parbounds_models::{CancelToken, CostLedger, ModelError, Word};
 
 use crate::budget::TenantBudgets;
-use crate::cache::{CacheSnapshot, Lease, OracleCache};
-use crate::json::fnv1a;
-use crate::wire::{
-    plan_to_json, Answer, ErrorCode, PlanSource, QueryKind, Request, Response, WireDiag, WireError,
-};
+use crate::cache::{CacheKey, CacheSnapshot, Lease, OracleCache, PlanKey};
+use crate::wire::{Answer, ErrorCode, QueryKind, Request, Response, WireDiag, WireError};
 
-/// Bounded FIFO cache of compiled plans, keyed by the plan's content
-/// address alone (no input, kind, or tenant): the answer cache dedups
-/// identical questions, but the *schedule* is reusable across different
-/// inputs and across `run`/`compare` kinds, so the one-shot `ir::compile`
-/// lowering is paid once per distinct plan. Ineligible plans are cached
-/// as `None` so the eligibility scan is not repeated per request either.
+/// Bounded FIFO cache of compiled plans, keyed by plan content alone (no
+/// input, kind, seed or tenant): the answer cache dedups identical
+/// questions, but the *schedule* is reusable across different inputs and
+/// across `run`/`compare` kinds, so the one-shot `ir::compile` lowering is
+/// paid once per distinct plan. A lookup hashes the plan and compares it
+/// with `==` against the stored plan, so a hit is always the same plan.
+/// Ineligible plans are cached as `None` so the eligibility scan is not
+/// repeated per request either.
 #[derive(Debug)]
 struct CompiledCache {
     cap: usize,
     inner: Mutex<CompiledCacheInner>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 #[derive(Debug, Default)]
 struct CompiledCacheInner {
-    map: HashMap<u64, Option<Arc<CompiledPlan>>>,
-    fifo: VecDeque<u64>,
+    map: HashMap<Arc<PhasePlan>, Option<Arc<CompiledPlan>>>,
+    fifo: VecDeque<Arc<PhasePlan>>,
+}
+
+/// A point-in-time view of the compiled-plan cache counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompiledCacheStats {
+    /// Lookups that found the plan's compilation (or ineligibility).
+    pub hits: u64,
+    /// Lookups that had to compile.
+    pub misses: u64,
 }
 
 impl CompiledCache {
@@ -63,6 +79,8 @@ impl CompiledCache {
         CompiledCache {
             cap: cap.max(1),
             inner: Mutex::new(CompiledCacheInner::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -75,20 +93,31 @@ impl CompiledCache {
             .len()
     }
 
+    fn stats(&self) -> CompiledCacheStats {
+        CompiledCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
     /// Returns the cached compilation of `plan`, compiling on miss.
     /// `None` means the plan is compile-ineligible and callers should use
     /// the checked interpreter.
-    fn get_or_compile(&self, plan: &PhasePlan) -> Result<Option<Arc<CompiledPlan>>, ModelError> {
-        let key = fnv1a(plan_to_json(plan).render().as_bytes());
+    fn get_or_compile(
+        &self,
+        plan: &Arc<PhasePlan>,
+    ) -> Result<Option<Arc<CompiledPlan>>, ModelError> {
         if let Some(hit) = self
             .inner
             .lock()
             .expect("compiled cache lock poisoned")
             .map
-            .get(&key)
+            .get(&**plan)
         {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         // Compile outside the lock: lowering is pure and idempotent, so a
         // racing duplicate costs one redundant compile, never a stall.
         let compiled = match compile_plan(plan)? {
@@ -98,7 +127,7 @@ impl CompiledCache {
         let mut st = self.inner.lock().expect("compiled cache lock poisoned");
         // A racing duplicate may have landed the entry first; keep theirs
         // so the cached Arc identity is stable.
-        if let Some(hit) = st.map.get(&key) {
+        if let Some(hit) = st.map.get(&**plan) {
             return Ok(hit.clone());
         }
         if st.fifo.len() >= self.cap {
@@ -106,8 +135,8 @@ impl CompiledCache {
                 st.map.remove(&old);
             }
         }
-        st.fifo.push_back(key);
-        st.map.insert(key, compiled.clone());
+        st.fifo.push_back(Arc::clone(plan));
+        st.map.insert(Arc::clone(plan), compiled.clone());
         Ok(compiled)
     }
 }
@@ -115,7 +144,7 @@ impl CompiledCache {
 /// Oracle tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
-    /// Ready answers the content-addressed cache retains.
+    /// Ready answers the single-flight cache retains.
     pub cache_cap: usize,
     /// Deadline applied when a request names none.
     pub default_deadline: Duration,
@@ -163,6 +192,11 @@ impl Oracle {
         self.compiled.len()
     }
 
+    /// Hit and miss counters of the compiled-plan cache.
+    pub fn compiled_cache_stats(&self) -> CompiledCacheStats {
+        self.compiled.stats()
+    }
+
     /// Executes `plan` on `input` through the per-plan compiled cache:
     /// eligible plans replay their straight-line schedule (lowered once
     /// per distinct plan, reused across inputs and query kinds),
@@ -170,7 +204,7 @@ impl Oracle {
     /// bit-identical, so answers and the answer cache are unaffected.
     fn execute_cached(
         &self,
-        plan: &PhasePlan,
+        plan: &Arc<PhasePlan>,
         input: &[Word],
         token: &CancelToken,
     ) -> Result<parbounds_ir::PlanRun, ModelError> {
@@ -201,10 +235,10 @@ impl Oracle {
         self.budgets.spent(tenant)
     }
 
-    /// True when the content address `key` currently has a cached answer
-    /// (used by the cancellation tests to prove cancelled runs leave no
-    /// partial state behind).
-    pub fn cache_contains(&self, key: u64) -> bool {
+    /// True when `key` currently has a cached answer (used by the
+    /// cancellation tests to prove cancelled runs leave no partial state
+    /// behind).
+    pub fn cache_contains(&self, key: &CacheKey) -> bool {
         self.cache.contains(key)
     }
 
@@ -223,11 +257,35 @@ impl Oracle {
     }
 
     fn try_handle(&self, req: &Request) -> Result<Response, ModelError> {
-        // 1. Resolve the plan and input.
-        let (plan, input) = self.resolve(req)?;
+        // 1. Single-flight lookup under the exact request key. A hit is
+        //    answered from the entry alone; measured kinds still pay the
+        //    prediction stored with it.
+        let leader = match self.cache.get_or_begin(req.cache_key()) {
+            Lease::Hit {
+                answer,
+                predicted_total,
+            } => {
+                if req.kind.is_measured() {
+                    self.budgets.try_charge(&req.tenant, predicted_total)?;
+                }
+                return Ok(Response {
+                    id: req.id,
+                    result: Ok((*answer).clone()),
+                    cached: true,
+                    degraded: false,
+                });
+            }
+            Lease::Lead(leader) => leader,
+        };
+        // From here on every early return (and any panic) drops `leader`,
+        // which abandons the slot and promotes a waiter.
+        let key = leader.key();
+
+        // 2. Resolve the plan and input.
+        let (plan, input) = resolve(key)?;
         plan.validate()?;
 
-        // 2. The static prediction, under a fresh token: it doubles as the
+        // 3. The static prediction, under a fresh token: it doubles as the
         //    budget gatekeeper and the degraded answer, so it must not be
         //    poisoned by an already-tripped request deadline. It is cheap
         //    (no execution), but a hostile million-phase plan is still
@@ -237,56 +295,42 @@ impl Oracle {
             &CancelToken::with_deadline(self.cfg.default_deadline),
         )?;
 
-        // 3. Measured kinds charge the tenant the predicted model time up
+        // 4. Measured kinds charge the tenant the predicted model time up
         //    front; refusal is the models' own CostBudgetExceeded.
         if req.kind.is_measured() {
             self.budgets
                 .try_charge(&req.tenant, predicted.total_time())?;
         }
 
-        // 4. Single-flight cache.
-        let key = req.cache_key(&plan, &input);
-        match self.cache.get_or_begin(key) {
-            Lease::Hit(answer) => Ok(Response {
-                id: req.id,
-                result: Ok((*answer).clone()),
-                cached: true,
-                degraded: false,
-            }),
-            Lease::Lead => {
-                let token = self.request_token(req);
-                self.analyses.fetch_add(1, Ordering::Relaxed);
-                match self.compute(req, &plan, &input, &predicted, &token) {
-                    Ok(answer) => {
-                        let answer = Arc::new(answer);
-                        self.cache.fulfill(key, Arc::clone(&answer));
-                        Ok(Response {
-                            id: req.id,
-                            result: Ok((*answer).clone()),
-                            cached: false,
-                            degraded: false,
-                        })
-                    }
-                    Err(ModelError::DeadlineExceeded { .. }) if req.kind.is_measured() => {
-                        // Graceful degradation: the measured run blew its
-                        // deadline, but the static ledger is already in
-                        // hand. Not cached — the next request should get a
-                        // chance at the full answer.
-                        self.cache.abandon(key);
-                        self.degraded.fetch_add(1, Ordering::Relaxed);
-                        Ok(Response {
-                            id: req.id,
-                            result: Ok(Answer::Ledger { ledger: predicted }),
-                            cached: false,
-                            degraded: true,
-                        })
-                    }
-                    Err(err) => {
-                        self.cache.abandon(key);
-                        Err(err)
-                    }
-                }
+        // 5. Compute under the request's own token.
+        let token = self.request_token(req);
+        self.analyses.fetch_add(1, Ordering::Relaxed);
+        match self.compute(key, &plan, &input, &predicted, &token) {
+            Ok(answer) => {
+                let answer = Arc::new(answer);
+                leader.fulfill(Arc::clone(&answer), predicted.total_time());
+                Ok(Response {
+                    id: req.id,
+                    result: Ok(Arc::unwrap_or_clone(answer)),
+                    cached: false,
+                    degraded: false,
+                })
             }
+            Err(ModelError::DeadlineExceeded { .. }) if req.kind.is_measured() => {
+                // Graceful degradation: the measured run blew its
+                // deadline, but the static ledger is already in hand. Not
+                // cached — the next request should get a chance at the
+                // full answer.
+                leader.abandon();
+                self.degraded.fetch_add(1, Ordering::Relaxed);
+                Ok(Response {
+                    id: req.id,
+                    result: Ok(Answer::Ledger { ledger: predicted }),
+                    cached: false,
+                    degraded: true,
+                })
+            }
+            Err(err) => Err(err),
         }
     }
 
@@ -302,31 +346,15 @@ impl Oracle {
         }
     }
 
-    fn resolve(&self, req: &Request) -> Result<(PhasePlan, Vec<Word>), ModelError> {
-        match &req.plan {
-            PlanSource::Inline(plan) => {
-                let input = req
-                    .input
-                    .clone()
-                    .unwrap_or_else(|| vec![0; plan.input_cells]);
-                Ok((plan.clone(), input))
-            }
-            PlanSource::Family { name, n, seed } => {
-                let (_, plan, canonical) = ir_family_plan(name, *n, *seed)?;
-                Ok((plan, req.input.clone().unwrap_or(canonical)))
-            }
-        }
-    }
-
     fn compute(
         &self,
-        req: &Request,
-        plan: &PhasePlan,
+        key: &CacheKey,
+        plan: &Arc<PhasePlan>,
         input: &[Word],
-        predicted: &parbounds_models::CostLedger,
+        predicted: &CostLedger,
         token: &CancelToken,
     ) -> Result<Answer, ModelError> {
-        match req.kind {
+        match key.kind {
             QueryKind::Static => Ok(Answer::Ledger {
                 // Re-fold under the request token so an explicit phase
                 // trip or tight deadline is honoured deterministically.
@@ -376,7 +404,7 @@ impl Oracle {
                 // suite point mirrors what `resolve` instantiated, so the
                 // evaluated symbolic ledger must equal `predicted` cell
                 // for cell.
-                let PlanSource::Family { name, n, .. } = &req.plan else {
+                let PlanKey::Family { name, n, .. } = &key.plan else {
                     return Err(ModelError::BadConfig(
                         "symbolic queries require a family plan source (the \
                          Θ-derivation is per family, not per inline schedule)"
@@ -403,7 +431,7 @@ impl Oracle {
                 // The adversary audit is per family and input-independent,
                 // like the symbolic derivation; the resolved plan/input are
                 // unused beyond admission costing.
-                let PlanSource::Family { name, n, .. } = &req.plan else {
+                let PlanKey::Family { name, n, .. } = &key.plan else {
                     return Err(ModelError::BadConfig(
                         "audit queries require a family plan source (the \
                          lower-bound audit is per family, not per inline schedule)"
@@ -423,6 +451,23 @@ impl Oracle {
                     verdict: o.verdict.name().to_string(),
                 })
             }
+        }
+    }
+}
+
+/// Builds the plan and input a leader's key names: the inline plan itself
+/// or the family built at its (already floored) size and seed, with the
+/// explicit input or the source's default.
+fn resolve(key: &CacheKey) -> Result<(Arc<PhasePlan>, Cow<'_, [Word]>), ModelError> {
+    let explicit = key.input.as_deref().map(Cow::Borrowed);
+    match &key.plan {
+        PlanKey::Inline(plan) => {
+            let input = explicit.unwrap_or_else(|| Cow::Owned(vec![0; plan.input_cells]));
+            Ok((Arc::clone(plan), input))
+        }
+        PlanKey::Family { name, n, seed } => {
+            let (_, plan, canonical) = ir_family_plan(name, *n, *seed)?;
+            Ok((Arc::new(plan), explicit.unwrap_or(Cow::Owned(canonical))))
         }
     }
 }
@@ -448,16 +493,17 @@ mod tests {
     use super::*;
     use parbounds_ir::{dart_round, execute_plan, prefix_sweep, CombineOp, ModelKind, ValueRule};
 
-    fn sweep_plan(n: usize) -> PhasePlan {
-        prefix_sweep(n, 4, CombineOp::Sum, ModelKind::Qsm { g: 2 })
+    fn sweep_plan(n: usize) -> Arc<PhasePlan> {
+        Arc::new(prefix_sweep(n, 4, CombineOp::Sum, ModelKind::Qsm { g: 2 }))
     }
 
     #[test]
     fn compiled_cache_reuses_one_lowering_per_plan() {
         let oracle = Oracle::new(OracleConfig::default());
         let token = CancelToken::with_deadline(Duration::from_secs(10));
-        let plan = sweep_plan(64);
         for seed in 0..3 {
+            // Each run builds its own copy: the cache matches by content.
+            let plan = sweep_plan(64);
             let input: Vec<Word> = (0..64).map(|x: Word| x ^ seed).collect();
             let got = oracle.execute_cached(&plan, &input, &token).unwrap();
             assert_eq!(got, execute_plan(&plan, &input).unwrap());
@@ -466,6 +512,10 @@ mod tests {
             oracle.compiled_plans_cached(),
             1,
             "three runs of one plan must share one compilation"
+        );
+        assert_eq!(
+            oracle.compiled_cache_stats(),
+            CompiledCacheStats { hits: 2, misses: 1 }
         );
     }
 
@@ -476,7 +526,7 @@ mod tests {
         let targets: Vec<(usize, ValueRule)> = (0..4)
             .map(|pid| (0usize, ValueRule::Const(pid as Word + 1)))
             .collect();
-        let racy = dart_round(&targets, ModelKind::Qsm { g: 8 });
+        let racy = Arc::new(dart_round(&targets, ModelKind::Qsm { g: 8 }));
         let input: Vec<Word> = Vec::new();
         let got = oracle.execute_cached(&racy, &input, &token).unwrap();
         assert_eq!(got, execute_plan(&racy, &input).unwrap());
@@ -494,13 +544,10 @@ mod tests {
             cache.get_or_compile(&sweep_plan(n)).unwrap();
             assert!(cache.len() <= 2);
         }
-        // Oldest entries were evicted; the newest survives.
-        let key = fnv1a(plan_to_json(&sweep_plan(64)).render().as_bytes());
-        assert!(cache
-            .inner
-            .lock()
-            .expect("compiled cache lock poisoned")
-            .map
-            .contains_key(&key));
+        // Oldest entries were evicted; the newest survives, found by a
+        // freshly built plan of equal content.
+        let inner = cache.inner.lock().expect("compiled cache lock poisoned");
+        assert!(inner.map.contains_key(&*sweep_plan(64)));
+        assert!(!inner.map.contains_key(&*sweep_plan(8)));
     }
 }

@@ -7,13 +7,16 @@
 //! or a typed error; `cached` and `degraded` flags tell the client how
 //! the answer was produced.
 
+use std::sync::Arc;
+
 use parbounds_ir::{
     CombineOp, CompStep, Guard, InitRule, ModelKind, MsgStep, OutputDecl, PhasePlan, PlanBody,
     ProcPhase, SendSpec, SharedPhase, Update, ValueRule, WriteSpec,
 };
 use parbounds_models::{CostLedger, PhaseCost, Word};
 
-use crate::json::{fnv1a, Json};
+use crate::cache::{CacheKey, PlanKey};
+use crate::json::Json;
 
 /// What the client wants the oracle to do with the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -261,7 +264,7 @@ pub struct Response {
     pub id: u64,
     /// The answer or the typed error.
     pub result: Result<Answer, WireError>,
-    /// True when the answer was served from the content-addressed cache.
+    /// True when the answer was served from the cache.
     pub cached: bool,
     /// True when a measured run exceeded its deadline and the service
     /// fell back to the static-analysis answer.
@@ -383,16 +386,25 @@ impl Request {
         })
     }
 
-    /// The request's content address: FNV-1a over the canonical rendering
-    /// of `(kind, plan, input)`. Tenant, id and deadline are deliberately
-    /// excluded — two tenants asking the same question share the answer.
-    pub fn cache_key(&self, resolved_plan: &PhasePlan, resolved_input: &[Word]) -> u64 {
-        let keyed = Json::Obj(vec![
-            ("kind".to_string(), Json::Str(self.kind.name().to_string())),
-            ("plan".to_string(), plan_to_json(resolved_plan)),
-            ("input".to_string(), words_to_json(resolved_input)),
-        ]);
-        fnv1a(keyed.render().as_bytes())
+    /// The request's exact cache key: kind, plan source and explicit
+    /// input, built from the request alone (no plan construction or
+    /// rendering). Tenant, id and deadline are deliberately excluded —
+    /// two tenants asking the same question share the answer. Family
+    /// sizes are floored to 8 as the family builders floor them.
+    pub fn cache_key(&self) -> CacheKey {
+        let plan = match &self.plan {
+            PlanSource::Inline(plan) => PlanKey::Inline(Arc::new(plan.clone())),
+            PlanSource::Family { name, n, seed } => PlanKey::Family {
+                name: name.clone(),
+                n: (*n).max(8),
+                seed: *seed,
+            },
+        };
+        CacheKey {
+            kind: self.kind,
+            plan,
+            input: self.input.clone(),
+        }
     }
 }
 
@@ -1252,23 +1264,23 @@ mod tests {
 
     #[test]
     fn cache_key_ignores_tenant_and_id() {
-        let (_, plan, input) = ir_family_plan("or-write-tree", 32, 1).unwrap();
+        let (_, plan, _) = ir_family_plan("or-write-tree", 32, 1).unwrap();
         let mut a = Request {
             id: 1,
             tenant: "a".to_string(),
             kind: QueryKind::Static,
             deadline_ms: Some(10),
             trip_at_phase: None,
-            plan: PlanSource::Inline(plan.clone()),
+            plan: PlanSource::Inline(plan),
             input: None,
         };
         let mut b = a.clone();
         b.id = 999;
         b.tenant = "b".to_string();
         b.deadline_ms = None;
-        assert_eq!(a.cache_key(&plan, &input), b.cache_key(&plan, &input));
+        assert_eq!(a.cache_key(), b.cache_key());
         a.kind = QueryKind::Run;
-        assert_ne!(a.cache_key(&plan, &input), b.cache_key(&plan, &input));
+        assert_ne!(a.cache_key(), b.cache_key());
     }
 
     #[test]

@@ -220,6 +220,103 @@ fn budget_exhaustion_is_typed_and_scoped_to_measured_kinds() {
     assert_eq!(server.oracle().tenant_spent("test"), 0);
 }
 
+/// The cache is consulted before the plan is built, so a hit must still
+/// pay: a measured-kind hit charges the prediction stored with the answer
+/// and is refused once that overdraws, without charging anything. Static
+/// kinds stay free, hit or miss.
+#[test]
+fn measured_hits_are_charged_the_stored_prediction() {
+    let (_, plan, _) = ir_family_plan("or-write-tree", 64, 0).unwrap();
+    let total = predict_ledger(&plan).unwrap().total_time();
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        oracle: OracleConfig {
+            tenant_budget: total,
+            ..OracleConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let first = server.submit(family_request(1, QueryKind::Run, "or-write-tree", 64, 0));
+    assert!(first.result.is_ok() && !first.cached);
+    assert_eq!(server.oracle().tenant_spent("test"), total);
+
+    let again = server.submit(family_request(2, QueryKind::Run, "or-write-tree", 64, 0));
+    assert_eq!(again.result.unwrap_err().code, ErrorCode::BudgetExhausted);
+    assert_eq!(
+        server.oracle().tenant_spent("test"),
+        total,
+        "refusal charges nothing"
+    );
+    let stats = server.oracle().cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (1, 1),
+        "the refused repeat was a hit"
+    );
+    assert_eq!(server.oracle().analyses_performed(), 1);
+
+    for id in 3..5 {
+        let resp = server.submit(family_request(
+            id,
+            QueryKind::Static,
+            "or-write-tree",
+            64,
+            0,
+        ));
+        assert!(resp.result.is_ok(), "statics are not budget-charged");
+        assert_eq!(resp.cached, id == 4);
+    }
+    assert_eq!(server.oracle().tenant_spent("test"), total);
+}
+
+/// A family request and an inline request for the same resolved plan
+/// and input may sit under separate keys, but both must answer exactly
+/// what the library computes, miss or hit.
+#[test]
+fn family_and_inline_sources_of_one_plan_agree() {
+    let server = small_server();
+    let (_, plan, input) = ir_family_plan("prefix-sweep", 64, 5).unwrap();
+    let reference = execute_plan(&plan, &input).unwrap();
+    let expected = Answer::Run {
+        ledger: reference.ledger,
+        output: reference.output,
+    };
+    let family = family_request(1, QueryKind::Run, "prefix-sweep", 64, 5);
+    let mut inline = family_request(2, QueryKind::Run, "prefix-sweep", 64, 5);
+    inline.plan = PlanSource::Inline(plan);
+    inline.input = Some(input);
+    for round in 0..2 {
+        for req in [&family, &inline] {
+            let resp = server.submit(req.clone());
+            assert_eq!(resp.cached, round == 1, "round {round}");
+            assert_eq!(resp.result.unwrap(), expected, "round {round}");
+        }
+    }
+}
+
+/// Requests that fail before computing — an unknown family, an invalid
+/// inline plan — are refused `bad_request` on every repeat and never
+/// leave an entry behind.
+#[test]
+fn bad_requests_are_refused_on_every_repeat_and_never_cached() {
+    let server = small_server();
+    let unknown = family_request(1, QueryKind::Run, "no-such-family", 64, 0);
+    let (_, mut plan, _) = ir_family_plan("broadcast", 32, 0).unwrap();
+    plan.procs = 0;
+    let mut invalid = family_request(2, QueryKind::Static, "broadcast", 32, 0);
+    invalid.plan = PlanSource::Inline(plan);
+    for req in [&unknown, &invalid] {
+        for _ in 0..3 {
+            let resp = server.submit(req.clone());
+            assert!(!resp.cached);
+            assert_eq!(resp.result.unwrap_err().code, ErrorCode::BadRequest);
+        }
+        assert!(!server.oracle().cache_contains(&req.cache_key()));
+    }
+    let stats = server.oracle().cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 6, 0));
+}
+
 /// Graceful degradation: a measured run cancelled mid-flight answers with
 /// the static ledger, flagged degraded, and pollutes nothing — the next
 /// identical request computes the full answer from scratch.
@@ -245,9 +342,9 @@ fn cancelled_run_degrades_to_static_and_leaves_no_state() {
 
     // No partial state: the cancelled run cached nothing, so the retry is
     // a fresh computation that yields the reference answer.
-    let key = family_request(0, QueryKind::Run, "broadcast", 256, 3).cache_key(&plan, &input);
+    let key = family_request(0, QueryKind::Run, "broadcast", 256, 3).cache_key();
     assert!(
-        !server.oracle().cache_contains(key),
+        !server.oracle().cache_contains(&key),
         "cancelled run left an entry in the cache"
     );
     let resp = server.submit(family_request(2, QueryKind::Run, "broadcast", 256, 3));
